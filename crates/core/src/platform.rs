@@ -496,42 +496,6 @@ impl Platform {
     /// word of DRAM, outside every allocator-managed SRAM region.
     pub const DEVICE_ID_ADDR: u32 = map::DRAM_BASE + map::DRAM_SIZE - 4;
 
-    /// Switches the memory devices (PROM, SRAM, DRAM) between sparse
-    /// copy-on-write backing (the default) and dense reference backing
-    /// (every page materialized, deep-copy snapshots — the pre-sparse
-    /// behaviour). Contents are unchanged; the switch is architecturally
-    /// invisible (it goes through `device_mut`, so `host_gen` bumps and
-    /// derived caches re-validate, exactly like any host-side touch).
-    /// Dense/sparse fleets must produce byte-identical digests — CI's
-    /// `fork-identity` job holds this line.
-    pub fn set_dense_memory(&mut self, dense: bool) -> Result<(), TrustliteError> {
-        let bus = &mut self.machine.sys.bus;
-        bus.device_mut::<Rom>("prom")
-            .ok_or(TrustliteError::Snapshot("prom"))?
-            .set_dense(dense);
-        bus.device_mut::<Ram>("sram")
-            .ok_or(TrustliteError::Snapshot("sram"))?
-            .set_dense(dense);
-        bus.device_mut::<Ram>("retram")
-            .ok_or(TrustliteError::Snapshot("retram"))?
-            .set_dense(dense);
-        bus.device_mut::<Ram>("dram")
-            .ok_or(TrustliteError::Snapshot("dram"))?
-            .set_dense(dense);
-        Ok(())
-    }
-
-    /// Switches the CPU's predecode and superblock tables between
-    /// `Arc`-shared snapshots (the default: fork is an Arc bump over
-    /// resident chunks, mutation clones only the touched chunk) and the
-    /// private reference mode (snapshots deep-copy every resident
-    /// chunk — the pre-sharing behaviour). Architecturally invisible
-    /// either way; shared/private fleets must produce byte-identical
-    /// digests — CI's `fork-identity` job holds this line.
-    pub fn set_private_code_caches(&mut self, private: bool) {
-        self.machine.sys.set_private_code_caches(private);
-    }
-
     /// Host-side materialized bytes across the platform's devices (see
     /// `trustlite_mem::Device::resident_bytes`). Diagnostic only.
     pub fn resident_bytes(&self) -> u64 {

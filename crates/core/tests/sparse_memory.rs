@@ -1,6 +1,6 @@
 //! Sparse-memory footprint pins: a freshly booted platform must hold
 //! almost nothing resident (DRAM in particular stays near-empty), and
-//! the dense/sparse switch must be architecturally invisible.
+//! the dense reference mode must be architecturally invisible.
 
 use trustlite::platform::{Platform, PlatformBuilder};
 use trustlite_isa::Reg;
@@ -65,8 +65,14 @@ fn diverge_materializes_one_dram_page() {
 fn dense_switch_is_architecturally_invisible() {
     let mut sparse = build();
     let mut dense = build();
-    dense.set_dense_memory(true).unwrap();
+    let gen = dense.machine.sys.bus.host_gen();
+    dense.machine.sys.make_dense();
     assert_eq!(dense.resident_bytes(), dense.addressable_bytes());
+    assert_eq!(
+        dense.machine.sys.bus.host_gen(),
+        gen,
+        "contents unchanged, so no host-side mutation"
+    );
 
     sparse.run(10_000);
     dense.run(10_000);
@@ -89,9 +95,9 @@ fn dense_switch_is_architecturally_invisible() {
         .unwrap();
     assert_eq!(a, b);
 
-    // Round-trip back to sparse drops the zero pages again.
-    dense.set_dense_memory(false).unwrap();
-    assert!(dense.resident_bytes() < dense.addressable_bytes() / 8);
+    // The mode is one-way and survives forks, which deep-copy.
+    let child = dense.fork().unwrap();
+    assert_eq!(child.resident_bytes(), child.addressable_bytes());
 }
 
 #[test]

@@ -25,32 +25,26 @@
 //! in-flight block execution notice a flush it caused itself — the
 //! self-modifying-code case. See `DESIGN.md` § superblock invariants.
 //!
-//! # Chunked `Arc` sharing (fork/snapshot)
+//! # Copy-on-write chunks (fork/snapshot)
 //!
-//! Both tables store their entries in fixed-size chunks behind
-//! `Option<Arc<_>>` slots — the same idiom `trustlite_mem::PageStore`
-//! uses for device memory. `None` means "every entry in this chunk is
-//! invalid"; a chunk is materialized lazily on first insert. A snapshot
-//! is then an Arc bump over resident chunks (O(chunks) pointer copies
-//! instead of O(table) entry copies), which is what makes fleet fork
-//! cost independent of how warm the master's caches are. Any mutation —
-//! an insert, a store-granular flush, a block checkout — goes through
-//! `Arc::make_mut`, which deep-copies a chunk only while it is still
-//! shared with a fork. Fleet devices run identical ROM images, so the
-//! boot-warmed chunks stay shared until a device's own self-modifying
-//! code or host patch diverges it; divergence is strictly per-device, so
-//! sharing is architecturally invisible (enforced differentially by the
-//! `shared_cache_props` / `code_cache_props` suites and CI).
-//!
-//! `set_private(true)` switches a table into the *private* reference
-//! mode: snapshots deep-copy every resident chunk instead of Arc-bumping
-//! it, reproducing the pre-sharing fork behaviour for differential runs
-//! (the fleet's `--private-code` flag).
-
-use std::sync::Arc;
+//! Both tables keep their entries in a [`ChunkTable`] — the same
+//! copy-on-write store `trustlite_mem::PageStore` uses for device
+//! memory. An absent chunk is all-invalid; a snapshot is an Arc bump
+//! over resident chunks, which is what makes fleet fork cost independent
+//! of how warm the master's caches are. Exactly three operations write a
+//! chunk, and so unshare it while a fork still holds it: an insert, a
+//! store-granular flush that hits (the tag probe runs on the shared read
+//! path, so a miss clones nothing), and a block checkout. Fleet devices
+//! run identical ROM images, so the boot-warmed chunks stay shared until
+//! a device's own self-modifying code or host patch diverges it;
+//! divergence is strictly per-device, so sharing is architecturally
+//! invisible (enforced differentially by the `shared_cache_props` suite
+//! and the fleet's reference-vs-default tests). Footprint is amortized
+//! over the tables sharing a chunk.
 
 use crate::costs;
 use trustlite_isa::Instr;
+use trustlite_mem::ChunkTable;
 use trustlite_obs::Histogram;
 
 /// A fetch-grant memo: the `(epoch, slot)` under which the EA-MPU
@@ -83,15 +77,16 @@ struct Entry {
     memo: FetchMemo,
 }
 
-const EMPTY_ENTRY: Entry = Entry {
-    tag: INVALID_TAG,
-    word: 0,
-    instr: Instr::Nop,
-    memo: None,
-};
-
-/// One sharing granule of the predecode table.
-type PdChunk = [Entry; PD_CHUNK];
+impl Default for Entry {
+    fn default() -> Self {
+        Entry {
+            tag: INVALID_TAG,
+            word: 0,
+            instr: Instr::Nop,
+            memo: None,
+        }
+    }
+}
 
 /// Lookup/maintenance counters for the predecode table, mirrored into
 /// the metrics registry by `Machine::metrics_report` as
@@ -108,15 +103,12 @@ pub struct PredecodeStats {
     pub flushes: u64,
 }
 
-/// The predecode table.
+/// The predecode table. `Clone` is the fork snapshot (see the module
+/// docs).
+#[derive(Clone)]
 pub struct Predecode {
-    /// Chunked entry storage; `None` = every entry invalid. Shared with
-    /// snapshots via `Arc`, unshared per chunk on first write.
-    chunks: Vec<Option<Arc<PdChunk>>>,
+    entries: ChunkTable<Entry, PD_CHUNK>,
     enabled: bool,
-    /// Reference mode: snapshots deep-copy resident chunks instead of
-    /// sharing them (see the module docs).
-    private: bool,
     /// Last observed [`trustlite_mem::Bus::host_gen`] value.
     pub(crate) host_gen: u64,
     stats: PredecodeStats,
@@ -125,33 +117,10 @@ pub struct Predecode {
 impl Default for Predecode {
     fn default() -> Self {
         Predecode {
-            chunks: vec![None; ENTRIES / PD_CHUNK],
+            entries: ChunkTable::new(ENTRIES / PD_CHUNK),
             enabled: true,
-            private: false,
             host_gen: 0,
             stats: PredecodeStats::default(),
-        }
-    }
-}
-
-impl Clone for Predecode {
-    /// Snapshot semantics: Arc-bumps resident chunks (O(chunks)), or
-    /// deep-copies them in the private reference mode.
-    fn clone(&self) -> Self {
-        let chunks = if self.private {
-            self.chunks
-                .iter()
-                .map(|c| c.as_ref().map(|a| Arc::new(**a)))
-                .collect()
-        } else {
-            self.chunks.clone()
-        };
-        Predecode {
-            chunks,
-            enabled: self.enabled,
-            private: self.private,
-            host_gen: self.host_gen,
-            stats: self.stats,
         }
     }
 }
@@ -173,31 +142,17 @@ impl Predecode {
         self.clear();
     }
 
-    /// Switches between shared snapshots (the default) and the private
-    /// reference mode. Enabling private mode also unshares every chunk
-    /// already resident, so a table forked earlier stops aliasing its
-    /// siblings immediately.
-    pub fn set_private(&mut self, on: bool) {
-        self.private = on;
-        if on {
-            for c in self.chunks.iter_mut().flatten() {
-                Arc::make_mut(c);
-            }
-        }
-    }
-
-    /// Whether the table is in the private reference mode.
-    pub fn is_private(&self) -> bool {
-        self.private
+    /// Switches to the dense reference mode (see
+    /// [`ChunkTable::make_dense`]).
+    pub fn make_dense(&mut self) {
+        self.entries.make_dense();
     }
 
     /// Looks up the cached decode of the word at `addr`, along with any
     /// fetch-grant memo stored beside it.
     #[inline]
     pub fn get(&mut self, addr: u32) -> Option<(u32, Instr, FetchMemo)> {
-        let idx = Self::index(addr);
-        if let Some(chunk) = &self.chunks[idx / PD_CHUNK] {
-            let e = &chunk[idx % PD_CHUNK];
+        if let Some(e) = self.entries.get(Self::index(addr)) {
             if e.tag == addr {
                 self.stats.hits += 1;
                 return Some((e.word, e.instr, e.memo));
@@ -211,10 +166,7 @@ impl Predecode {
     /// shared, unsharing) the covering chunk.
     #[inline]
     pub fn insert(&mut self, addr: u32, word: u32, instr: Instr, memo: FetchMemo) {
-        let idx = Self::index(addr);
-        let chunk =
-            self.chunks[idx / PD_CHUNK].get_or_insert_with(|| Arc::new([EMPTY_ENTRY; PD_CHUNK]));
-        Arc::make_mut(chunk)[idx % PD_CHUNK] = Entry {
+        *self.entries.get_mut(Self::index(addr)) = Entry {
             tag: addr,
             word,
             instr,
@@ -229,23 +181,15 @@ impl Predecode {
     pub fn invalidate(&mut self, addr: u32) {
         let word_addr = addr & !3;
         let idx = Self::index(word_addr);
-        match &self.chunks[idx / PD_CHUNK] {
-            Some(chunk) if chunk[idx % PD_CHUNK].tag == word_addr => {}
-            _ => return,
+        if self.entries.get(idx).is_some_and(|e| e.tag == word_addr) {
+            self.entries.get_mut(idx).tag = INVALID_TAG;
+            self.stats.flushes += 1;
         }
-        let chunk = self.chunks[idx / PD_CHUNK]
-            .as_mut()
-            .expect("resident chunk");
-        Arc::make_mut(chunk)[idx % PD_CHUNK].tag = INVALID_TAG;
-        self.stats.flushes += 1;
     }
 
-    /// Flash-clears the whole table by dropping every chunk (shared
-    /// chunks are released, not written).
+    /// Flash-clears the whole table (see [`ChunkTable::clear`]).
     pub fn clear(&mut self) {
-        for c in &mut self.chunks {
-            *c = None;
-        }
+        self.entries.clear();
     }
 
     /// Lookup/maintenance counters (`cpu.predecode.*`).
@@ -258,10 +202,9 @@ impl Predecode {
     /// fleet-wide sums reflect physical allocation. Diagnostic only,
     /// never digested.
     pub fn resident_bytes(&self) -> u64 {
-        self.chunks
-            .iter()
-            .flatten()
-            .map(|c| std::mem::size_of::<PdChunk>() as u64 / Arc::strong_count(c).max(1) as u64)
+        self.entries
+            .resident()
+            .map(|(_, c, holders)| (std::mem::size_of_val(c) / holders) as u64)
             .sum()
     }
 }
@@ -357,15 +300,16 @@ struct BlockEntry {
     ops: Vec<MicroOp>,
 }
 
-const EMPTY_BLOCK: BlockEntry = BlockEntry {
-    tag: INVALID_TAG,
-    last_cf: false,
-    len: 0,
-    ops: Vec::new(),
-};
-
-/// One sharing granule of the block table.
-type BlkChunk = [BlockEntry; BLK_CHUNK];
+impl Default for BlockEntry {
+    fn default() -> Self {
+        BlockEntry {
+            tag: INVALID_TAG,
+            last_cf: false,
+            len: 0,
+            ops: Vec::new(),
+        }
+    }
+}
 
 /// Execution/maintenance counters for the block table, mirrored into the
 /// metrics registry by `Machine::metrics_report` as `cpu.block.*`.
@@ -382,15 +326,14 @@ pub struct BlockStats {
 }
 
 /// Direct-mapped cache of superblock micro-op traces keyed by start pc.
+/// `Clone` is the fork snapshot (see the module docs).
+#[derive(Clone)]
 pub struct BlockTable {
-    /// Chunked entry storage; `None` = every entry invalid. Shared with
-    /// snapshots via `Arc`, unshared per chunk on first write — where
-    /// "write" includes the execution loop's ops checkout, so a fork
-    /// that actually runs unshares exactly the chunks it executes from.
-    chunks: Vec<Option<Arc<BlkChunk>>>,
+    /// Entry storage. "Write" includes the execution loop's ops
+    /// checkout, so a fork that actually runs unshares exactly the
+    /// chunks it executes from.
+    entries: ChunkTable<BlockEntry, BLK_CHUNK>,
     enabled: bool,
-    /// Reference mode: snapshots deep-copy resident chunks.
-    private: bool,
     /// Bumped whenever any entry is flushed or the table is cleared. An
     /// executing block snapshots this at entry and re-checks it per op,
     /// so a store *inside the current block* (self-modifying code) stops
@@ -414,9 +357,8 @@ pub struct BlockTable {
 impl Default for BlockTable {
     fn default() -> Self {
         BlockTable {
-            chunks: vec![None; BLOCK_ENTRIES / BLK_CHUNK],
+            entries: ChunkTable::new(BLOCK_ENTRIES / BLK_CHUNK),
             enabled: true,
-            private: false,
             gen: 0,
             cover_lo: u32::MAX,
             cover_hi: 0,
@@ -424,33 +366,6 @@ impl Default for BlockTable {
             host_gen: 0,
             stats: BlockStats::default(),
             len_hist: Histogram::default(),
-        }
-    }
-}
-
-impl Clone for BlockTable {
-    /// Snapshot semantics: Arc-bumps resident chunks (O(chunks)), or
-    /// deep-copies them in the private reference mode.
-    fn clone(&self) -> Self {
-        let chunks = if self.private {
-            self.chunks
-                .iter()
-                .map(|c| c.as_ref().map(|a| Arc::new((**a).clone())))
-                .collect()
-        } else {
-            self.chunks.clone()
-        };
-        BlockTable {
-            chunks,
-            enabled: self.enabled,
-            private: self.private,
-            gen: self.gen,
-            cover_lo: self.cover_lo,
-            cover_hi: self.cover_hi,
-            filter: self.filter,
-            host_gen: self.host_gen,
-            stats: self.stats,
-            len_hist: self.len_hist.clone(),
         }
     }
 }
@@ -469,24 +384,6 @@ impl BlockTable {
         1u64 << (((addr >> 7) ^ (addr >> 13)) & 63)
     }
 
-    /// Shared-path read access to the entry at `idx`, if its chunk is
-    /// resident.
-    #[inline(always)]
-    fn entry(&self, idx: usize) -> Option<&BlockEntry> {
-        self.chunks[idx / BLK_CHUNK]
-            .as_ref()
-            .map(|c| &c[idx % BLK_CHUNK])
-    }
-
-    /// Mutable access to the entry at `idx`, materializing the chunk and
-    /// unsharing it (clone-on-first-write) as needed.
-    #[inline]
-    fn entry_mut(&mut self, idx: usize) -> &mut BlockEntry {
-        let chunk =
-            self.chunks[idx / BLK_CHUNK].get_or_insert_with(|| Arc::new([EMPTY_BLOCK; BLK_CHUNK]));
-        &mut Arc::make_mut(chunk)[idx % BLK_CHUNK]
-    }
-
     /// Whether block caching is enabled.
     pub fn enabled(&self) -> bool {
         self.enabled
@@ -498,20 +395,10 @@ impl BlockTable {
         self.clear();
     }
 
-    /// Switches between shared snapshots (the default) and the private
-    /// reference mode; see [`Predecode::set_private`].
-    pub fn set_private(&mut self, on: bool) {
-        self.private = on;
-        if on {
-            for c in self.chunks.iter_mut().flatten() {
-                Arc::make_mut(c);
-            }
-        }
-    }
-
-    /// Whether the table is in the private reference mode.
-    pub fn is_private(&self) -> bool {
-        self.private
+    /// Switches to the dense reference mode (see
+    /// [`ChunkTable::make_dense`]).
+    pub fn make_dense(&mut self) {
+        self.entries.make_dense();
     }
 
     /// Current flush generation (see the field docs).
@@ -526,7 +413,7 @@ impl BlockTable {
     #[inline]
     pub fn probe(&mut self, start: u32) -> Result<usize, bool> {
         let idx = Self::index(start);
-        match self.entry(idx) {
+        match self.entries.get(idx) {
             Some(e) if e.tag == start => {
                 if e.len == 0 {
                     Err(true)
@@ -561,7 +448,7 @@ impl BlockTable {
             }
             line += 1;
         }
-        *self.entry_mut(idx) = BlockEntry {
+        *self.entries.get_mut(idx) = BlockEntry {
             tag: start,
             last_cf,
             len: ops.len() as u32,
@@ -573,7 +460,7 @@ impl BlockTable {
     /// The `(start, len, last_cf)` header of the block at `idx`.
     #[inline(always)]
     pub fn head(&self, idx: usize) -> (u32, u32, bool) {
-        let e = self.entry(idx).expect("block chunk resident");
+        let e = self.entries.get(idx).expect("block chunk resident");
         (e.tag, e.len, e.last_cf)
     }
 
@@ -586,7 +473,7 @@ impl BlockTable {
     /// freshly forked device the first dispatch from a shared chunk
     /// unshares it — after which the checkout is a plain `mem::take`.
     pub fn take_ops(&mut self, idx: usize) -> Vec<MicroOp> {
-        std::mem::take(&mut self.entry_mut(idx).ops)
+        std::mem::take(&mut self.entries.get_mut(idx).ops)
     }
 
     /// Returns a checked-out micro-op vector. Dropped instead if the
@@ -594,11 +481,11 @@ impl BlockTable {
     /// stale ops after an invalidation would defeat precise SMC
     /// flushing.
     pub fn put_ops(&mut self, idx: usize, start: u32, ops: Vec<MicroOp>) {
-        match self.entry(idx) {
+        match self.entries.get(idx) {
             Some(e) if e.tag == start && e.len as usize == ops.len() && e.ops.is_empty() => {}
             _ => return,
         }
-        self.entry_mut(idx).ops = ops;
+        self.entries.get_mut(idx).ops = ops;
     }
 
     /// Drops every cached block containing the word at `addr` — the
@@ -627,7 +514,7 @@ impl BlockTable {
             let idx = Self::index(start);
             // Read on the shared path; only a covering hit clones the
             // chunk before flushing in it.
-            let covers = match self.entry(idx) {
+            let covers = match self.entries.get(idx) {
                 Some(e) if e.tag == start => {
                     let end = start.wrapping_add(4 * e.len.max(1));
                     a.wrapping_sub(start) < end.wrapping_sub(start)
@@ -635,7 +522,7 @@ impl BlockTable {
                 _ => false,
             };
             if covers {
-                let e = self.entry_mut(idx);
+                let e = self.entries.get_mut(idx);
                 e.tag = INVALID_TAG;
                 e.len = 0;
                 e.ops.clear();
@@ -652,12 +539,10 @@ impl BlockTable {
         }
     }
 
-    /// Flash-clears the whole table (host-side mutation, toggling) by
-    /// dropping every chunk.
+    /// Flash-clears the whole table (host-side mutation, toggling; see
+    /// [`ChunkTable::clear`]).
     pub fn clear(&mut self) {
-        for c in &mut self.chunks {
-            *c = None;
-        }
+        self.entries.clear();
         self.cover_lo = u32::MAX;
         self.cover_hi = 0;
         self.filter = 0;
@@ -684,15 +569,14 @@ impl BlockTable {
     /// heap), amortized over sharers exactly like
     /// [`Predecode::resident_bytes`]. Diagnostic only, never digested.
     pub fn resident_bytes(&self) -> u64 {
-        self.chunks
-            .iter()
-            .flatten()
-            .map(|c| {
+        self.entries
+            .resident()
+            .map(|(_, c, holders)| {
                 let heap: usize = c
                     .iter()
                     .map(|e| e.ops.capacity() * std::mem::size_of::<MicroOp>())
                     .sum();
-                (std::mem::size_of::<BlkChunk>() + heap) as u64 / Arc::strong_count(c).max(1) as u64
+                ((std::mem::size_of_val(c) + heap) / holders) as u64
             })
             .sum()
     }
@@ -758,13 +642,20 @@ mod tests {
     #[test]
     fn private_mode_snapshots_deep_copy() {
         let mut pd = Predecode::default();
-        pd.set_private(true);
+        pd.make_dense();
         pd.insert(0x100, 0xabcd, Instr::Nop, None);
         let solo = pd.resident_bytes();
-        let child = pd.clone();
-        // No sharing in reference mode: both report the full chunk.
+        // The dense reference mode holds the whole table resident.
+        assert_eq!(solo, (ENTRIES * std::mem::size_of::<Entry>()) as u64);
+        let mut child = pd.clone();
+        // No sharing in reference mode: both report the full table, and
+        // a flash-clear keeps it resident.
         assert_eq!(pd.resident_bytes(), solo);
         assert_eq!(child.resident_bytes(), solo);
+        child.clear();
+        assert_eq!(child.get(0x100), None);
+        assert_eq!(child.resident_bytes(), solo);
+        assert_eq!(pd.get(0x100), Some((0xabcd, Instr::Nop, None)));
     }
 
     fn one_block() -> Vec<MicroOp> {

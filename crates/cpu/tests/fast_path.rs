@@ -437,12 +437,14 @@ fn fork_shares_code_cache_footprint() {
 
 #[test]
 fn private_mode_fork_behaves_identically_to_shared() {
-    // The `--private-code` reference mode deep-copies on snapshot but
-    // must be architecturally indistinguishable: same registers, same
-    // timing, same cache counters after an identical SMC sequence.
+    // The dense reference mode deep-copies on snapshot but must be
+    // architecturally indistinguishable: same registers, same timing,
+    // same cache counters after an identical SMC sequence. Switching
+    // modes keeps the warm caches (no host_gen flash-clear), or the
+    // counters below would differ.
     let mut parent = warmed_loop_machine();
     let mut shared_child = parent.snapshot().expect("machine snapshots");
-    parent.sys.set_private_code_caches(true);
+    parent.sys.make_dense();
     let mut private_child = parent.snapshot().expect("machine snapshots");
     for c in [&mut shared_child, &mut private_child] {
         c.sys

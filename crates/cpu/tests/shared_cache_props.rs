@@ -2,8 +2,8 @@
 //! instruction soups run through a fork-then-patch scenario — warm the
 //! caches, snapshot, patch parent and child *differently*, run both out
 //! — once on the default shared (clone-on-write chunk) tables and once
-//! on the private (deep-copied) reference tables, at every capture
-//! level. The two modes must agree on registers, cycle/instret
+//! on the private (deep-copied) tables of the dense reference mode, at
+//! every capture level. The two modes must agree on registers, cycle/instret
 //! counters, a memory digest, event counts, cycle attribution *and* the
 //! cache hit/miss/flush counters on both sides of the fork: sharing is
 //! a host-side artifact that must never be architecturally visible.
@@ -155,7 +155,7 @@ fn run_fork_scenario(
     image: &[u8],
     init: [u32; 8],
     level: ObsLevel,
-    private: bool,
+    dense: bool,
     patch_sel: usize,
     n_ops: usize,
 ) -> (Observed, Observed) {
@@ -196,7 +196,9 @@ fn run_fork_scenario(
         .register("tail", &[(CODE + 0x20, CODE + 0x1000)]);
     sys.set_fast_path(true);
     sys.set_superblocks(true);
-    sys.set_private_code_caches(private);
+    if dense {
+        sys.make_dense();
+    }
     let mut parent = Machine::new(sys, CODE);
     parent.regs.gprs = init;
     parent.regs.set(Reg::R6, DATA);
@@ -208,7 +210,7 @@ fn run_fork_scenario(
 
     // Divergent SMC: parent and child each patch a *different* word of
     // the shared warm image, exercising clone-on-first-write on whoever
-    // holds a shared chunk (private mode already deep-copied).
+    // holds a shared chunk (dense mode already deep-copied).
     let w1 = (patch_sel % n_ops) as u32;
     let w2 = ((patch_sel + 1) % n_ops) as u32;
     parent
@@ -239,7 +241,7 @@ fn run_fork_scenario(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
-    fn shared_and_private_code_caches_are_indistinguishable(
+    fn shared_and_dense_code_caches_are_indistinguishable(
         init in any::<[u32; 8]>(),
         ops in proptest::collection::vec(any_op(), 1..60),
         patch_sel in 0usize..1000,
@@ -248,8 +250,8 @@ proptest! {
         for level in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Events, ObsLevel::Full] {
             let (sp, sc) = run_fork_scenario(&image, init, level, false, patch_sel, ops.len());
             let (pp, pc) = run_fork_scenario(&image, init, level, true, patch_sel, ops.len());
-            prop_assert_eq!(&sp, &pp, "{:?}: parent diverged shared-vs-private", level);
-            prop_assert_eq!(&sc, &pc, "{:?}: child diverged shared-vs-private", level);
+            prop_assert_eq!(&sp, &pp, "{:?}: parent diverged shared-vs-dense", level);
+            prop_assert_eq!(&sc, &pc, "{:?}: child diverged shared-vs-dense", level);
         }
     }
 }

@@ -7,6 +7,7 @@ use std::time::Instant;
 
 use trustlite::attest::{self, Challenge, Response};
 use trustlite::{Platform, TrustliteError};
+use trustlite_bench::state_digest;
 use trustlite_bench::throughput::build_workload;
 use trustlite_chaos::{ChaosConfig, DeviceRole, FaultPlan, RoundFault};
 use trustlite_crypto::sha256;
@@ -18,7 +19,7 @@ use trustlite_periph::KeyStore;
 
 use crate::campaign::{CampaignConfig, CampaignState};
 use crate::observatory::TraceLevel;
-use crate::report::{state_digest, FleetReport};
+use crate::report::FleetReport;
 use crate::resilience::{DeviceHealth, VerifierState};
 
 /// How many trailing device events a flight dump carries (the tail of
@@ -62,16 +63,12 @@ pub struct FleetConfig {
     /// Per-device flight-recorder depth (always on; `0` disables
     /// retention but still counts drops).
     pub flight_cap: usize,
-    /// Run every device on dense (fully materialized, deep-copy
-    /// snapshot) memory instead of the default sparse COW backing.
-    /// Reference mode for differential runs: digests must be
-    /// byte-identical either way (CI's `fork-identity` job).
-    pub dense_mem: bool,
-    /// Fork every device with private (deep-copied) predecode/superblock
-    /// tables instead of the default chunked `Arc`-shared code caches.
-    /// Reference mode for differential runs: digests must be
-    /// byte-identical either way (CI's `fork-identity` job).
-    pub private_code: bool,
+    /// Boot the master in the dense reference mode
+    /// (`SystemBus::make_dense`), so every fork deep-copies its memory
+    /// and code caches instead of sharing copy-on-write chunks. Set only
+    /// by the differential tests: digests must be byte-identical either
+    /// way.
+    pub dense: bool,
     /// Firmware-update campaign (off by default; a configured campaign
     /// stages the patched image over the fleet in canary/ramp waves and
     /// commits each device behind an attested re-measurement gate).
@@ -94,8 +91,7 @@ impl Default for FleetConfig {
             timeout_rounds: 2,
             trace: TraceLevel::Off,
             flight_cap: DEFAULT_FLIGHT_CAP,
-            dense_mem: false,
-            private_code: false,
+            dense: false,
             campaign: None,
         }
     }
@@ -280,11 +276,8 @@ impl Fleet {
             return Err(TrustliteError::DegenerateFleet { what: "rounds" });
         }
         let mut master = build_workload(&cfg.workload, cfg.level);
-        if cfg.dense_mem {
-            master.set_dense_memory(true)?;
-        }
-        if cfg.private_code {
-            master.set_private_code_caches(true);
+        if cfg.dense {
+            master.machine.sys.make_dense();
         }
         let boot_report = master.machine.metrics_report();
         let expected = expected_measurements(&mut master)?;
@@ -724,8 +717,7 @@ impl Fleet {
             resident_bytes,
             addressable_bytes,
             code_cache_bytes,
-            dense_mem: cfg.dense_mem,
-            private_code: cfg.private_code,
+            dense: cfg.dense,
             digest: sha256(&digest_blob),
         }
     }

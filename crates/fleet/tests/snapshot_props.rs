@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use trustlite::TrustliteError;
+use trustlite_bench::state_digest;
 use trustlite_bench::throughput::{build_workload, WORKLOADS};
-use trustlite_fleet::state_digest;
 use trustlite_mem::IrqRequest;
 use trustlite_obs::ObsLevel;
 use trustlite_periph::Uart;

@@ -537,6 +537,16 @@ impl Bus {
             .sum()
     }
 
+    /// Switches every mapped device into the dense reference mode (see
+    /// [`Device::make_dense`]). Contents are unchanged, so unlike
+    /// [`Bus::device_mut`] this leaves [`Bus::host_gen`] alone and
+    /// caches built over memory contents stay valid.
+    pub fn make_dense(&mut self) {
+        for m in &mut self.mappings {
+            m.device.make_dense();
+        }
+    }
+
     /// Total addressable bytes across all mapped devices.
     pub fn addressable_bytes(&self) -> u64 {
         self.mappings.iter().map(|m| u64::from(m.size)).sum()

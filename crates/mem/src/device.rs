@@ -150,6 +150,13 @@ pub trait Device: Any + Send {
         u64::from(self.size())
     }
 
+    /// Switches the device's backing, one way, into the dense reference
+    /// mode: everything materialized, every snapshot a deep copy.
+    /// Contents are unchanged, so this is no host-side mutation. Sparse
+    /// devices ([`crate::Ram`]/[`crate::Rom`]) override it; for every
+    /// other device backing is already dense and this does nothing.
+    fn make_dense(&mut self) {}
+
     /// Deep-copies the device for snapshot/fork, or `None` if the device
     /// cannot be snapshotted. Every in-tree device supports this (their
     /// state is plain owned data); the default conservatively refuses so

@@ -8,6 +8,9 @@
 //!
 //! * [`Device`] — the trait every bus-attached component implements,
 //! * [`Ram`] / [`Rom`] — volatile and programmable read-only memories,
+//! * [`ChunkTable`] — the copy-on-write store behind both memories
+//!   (via [`PageStore`]) and the CPU's code caches, which makes forks
+//!   cheap,
 //! * [`Bus`] — the system bus that routes physical accesses to devices,
 //! * [`map`] — the reference memory map used throughout the reproduction.
 //!
@@ -16,12 +19,14 @@
 //! wiring), exactly as in the paper's Figure 2.
 
 pub mod bus;
+pub mod chunk_table;
 pub mod device;
 pub mod map;
 pub mod pages;
 pub mod ram;
 
 pub use bus::{Bus, MapError};
+pub use chunk_table::ChunkTable;
 pub use device::{BusError, Device, IrqRequest};
-pub use pages::{Page, PageStore, PAGE_SHIFT, PAGE_SIZE};
+pub use pages::{PageStore, PAGE_SHIFT, PAGE_SIZE};
 pub use ram::{Ram, Rom};

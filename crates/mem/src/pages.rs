@@ -3,44 +3,31 @@
 //! Forking a fleet device used to deep-copy every byte of its RAM, so a
 //! 64-device fan-out spent tens of milliseconds cloning megabytes of
 //! mostly-zero memory. [`PageStore`] replaces the flat `Vec<u8>` behind
-//! [`crate::Ram`]/[`crate::Rom`] with a vector of optional 4 KiB pages:
+//! [`crate::Ram`]/[`crate::Rom`] with a [`ChunkTable`] of 4 KiB pages:
+//! an absent page reads as zero, cloning the store (the fork snapshot)
+//! is one reference-count bump per resident page, and the write paths
+//! clone a shared page on first write.
 //!
-//! * an **absent** page reads as zero and costs nothing to store or copy;
-//! * a **present** page is an `Arc<Page>` — snapshotting the store is one
-//!   reference-count bump per resident page, O(pages-present) instead of
-//!   O(size);
-//! * the write paths (`write8`/`write32`/`fill`/`host_load`) materialize
-//!   absent pages lazily and clone shared pages on first write
-//!   (`Arc::make_mut`), so divergence after a fork is private to the
-//!   writer and invisible to every other holder of the page.
+//! On top of the table this store keeps its own policy: writing zero to
+//! an absent page is a no-op (the page already reads as zero), so
+//! zeroing loops and zero-padded image loads never materialize
+//! anything, and residency is reported per page slot with the tail page
+//! capped at the logical size.
 //!
 //! The paging is a host-simulator artifact, invisible to the guest ISA,
 //! the EA-MPU and all digests: every observable read/write/error is
 //! byte-identical to a dense flat array (`tests` and the workspace
-//! differential property tests enforce this). A *dense* mode —
-//! [`PageStore::new_dense`] / [`PageStore::set_dense`] — keeps every page
-//! materialized and deep-copies on snapshot, reproducing the pre-sparse
-//! behaviour as the reference side of dense-vs-sparse differential runs
-//! (`tlfleet --dense-mem`, the CI `fork-identity` job).
+//! differential property tests enforce this). [`PageStore::make_dense`]
+//! switches to the table's dense reference mode for differential runs.
 
-use core::fmt;
-use std::sync::Arc;
+use crate::chunk_table::ChunkTable;
 
 /// Log2 of the page size.
 pub const PAGE_SHIFT: u32 = 12;
 /// Size of one backing page in bytes (4 KiB).
 pub const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
-const PAGE_MASK: usize = PAGE_SIZE as usize - 1;
-
-/// One 4 KiB backing page.
-#[derive(Clone)]
-pub struct Page(pub [u8; PAGE_SIZE as usize]);
-
-impl Page {
-    fn filled(pattern: u8) -> Page {
-        Page([pattern; PAGE_SIZE as usize])
-    }
-}
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+const PAGE_MASK: usize = PAGE_BYTES - 1;
 
 /// A sparse page-granular store of `size` logical bytes.
 ///
@@ -48,43 +35,19 @@ impl Page {
 /// memory devices — bounds-check first and surface `BusError`s); word
 /// accessors tolerate page-straddling unaligned offsets by falling back
 /// to byte access.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PageStore {
     size: u32,
-    pages: Vec<Option<Arc<Page>>>,
-    /// Dense mode: every page stays materialized and uniquely owned, and
-    /// [`PageStore::snapshot`] deep-copies — the pre-sparse reference
-    /// behaviour for differential runs.
-    dense: bool,
-}
-
-impl fmt::Debug for PageStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PageStore")
-            .field("size", &self.size)
-            .field("resident_pages", &self.resident_pages())
-            .field("dense", &self.dense)
-            .finish()
-    }
+    pages: ChunkTable<u8, PAGE_BYTES>,
 }
 
 impl PageStore {
     /// Creates a sparse zeroed store of `size` bytes (no pages resident).
     pub fn new(size: u32) -> PageStore {
-        let npages = (size as usize).div_ceil(PAGE_SIZE as usize);
         PageStore {
             size,
-            pages: vec![None; npages],
-            dense: false,
+            pages: ChunkTable::new((size as usize).div_ceil(PAGE_BYTES)),
         }
-    }
-
-    /// Creates a dense zeroed store: every page materialized up front and
-    /// deep-copied on snapshot.
-    pub fn new_dense(size: u32) -> PageStore {
-        let mut store = PageStore::new(size);
-        store.set_dense(true);
-        store
     }
 
     /// Logical size in bytes.
@@ -93,77 +56,47 @@ impl PageStore {
         self.size
     }
 
-    /// Whether the store runs in dense (reference) mode.
-    pub fn is_dense(&self) -> bool {
-        self.dense
-    }
-
-    /// Switches backing mode. `true` materializes every page and unshares
-    /// them (deep copies of shared pages); `false` drops all-zero pages
-    /// so the store re-sparsifies. Contents are unchanged either way.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.dense = dense;
-        if dense {
-            for slot in &mut self.pages {
-                match slot {
-                    Some(page) => {
-                        // Force unique ownership: make_mut deep-copies
-                        // iff the page is shared.
-                        let _ = Arc::make_mut(page);
-                    }
-                    None => *slot = Some(Arc::new(Page::filled(0))),
-                }
-            }
-        } else {
-            for slot in &mut self.pages {
-                if slot.as_ref().is_some_and(|p| p.0.iter().all(|&b| b == 0)) {
-                    *slot = None;
-                }
-            }
-        }
+    /// Switches to the dense reference mode (see
+    /// [`ChunkTable::make_dense`]): every page materialized, every
+    /// snapshot a deep copy. Contents are unchanged.
+    pub fn make_dense(&mut self) {
+        self.pages.make_dense();
     }
 
     /// Number of resident (materialized) pages. Shared pages count once
     /// per *slot*, not once per physical allocation: residency reports
     /// the guest-visible footprint, not host allocator behaviour.
     pub fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+        self.pages.resident().count()
     }
 
     /// Resident bytes, with the tail page capped at the logical size.
     pub fn resident_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for (i, page) in self.pages.iter().enumerate() {
-            if page.is_some() {
-                let base = (i as u64) << PAGE_SHIFT;
-                total += u64::from(PAGE_SIZE).min(u64::from(self.size) - base);
-            }
-        }
-        total
+        self.pages
+            .resident()
+            .map(|(i, _, _)| {
+                u64::from(PAGE_SIZE).min(u64::from(self.size) - ((i as u64) << PAGE_SHIFT))
+            })
+            .sum()
     }
 
     /// Number of page slots physically shared (same allocation) with
     /// `other` at the same page index — diagnostics for COW tests.
     pub fn shared_pages_with(&self, other: &PageStore) -> usize {
-        self.pages
-            .iter()
-            .zip(other.pages.iter())
-            .filter(|(a, b)| match (a, b) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            })
-            .count()
+        self.pages.shared_with(&other.pages)
+    }
+
+    /// Whether the page containing `off` is absent (reads as zero).
+    #[inline(always)]
+    fn absent(&self, off: usize) -> bool {
+        self.pages.chunk(off >> PAGE_SHIFT).is_none()
     }
 
     /// Reads one byte; absent pages read as zero.
     #[inline(always)]
     pub fn read8(&self, off: u32) -> u8 {
         debug_assert!(off < self.size);
-        let i = off as usize;
-        match &self.pages[i >> PAGE_SHIFT] {
-            Some(p) => p.0[i & PAGE_MASK],
-            None => 0,
-        }
+        self.pages.get(off as usize).map_or(0, |&b| b)
     }
 
     /// Reads a little-endian 32-bit word. Aligned words never straddle a
@@ -174,9 +107,9 @@ impl PageStore {
         let i = off as usize;
         let lane = i & PAGE_MASK;
         if lane <= PAGE_MASK - 3 {
-            match &self.pages[i >> PAGE_SHIFT] {
+            match self.pages.chunk(i >> PAGE_SHIFT) {
                 Some(p) => {
-                    let b = &p.0[lane..lane + 4];
+                    let b = &p[lane..lane + 4];
                     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
                 }
                 None => 0,
@@ -191,27 +124,16 @@ impl PageStore {
         }
     }
 
-    /// The page containing `off`, materialized and uniquely owned
-    /// (cloned on first write when shared with a fork).
-    #[inline(always)]
-    fn page_mut(&mut self, off: u32) -> &mut Page {
-        let slot = &mut self.pages[(off as usize) >> PAGE_SHIFT];
-        if slot.is_none() {
-            *slot = Some(Arc::new(Page::filled(0)));
-        }
-        Arc::make_mut(slot.as_mut().expect("just materialized"))
-    }
-
-    /// Writes one byte. Writing zero to an absent page is a no-op in
-    /// sparse mode (the page already reads as zero), so zeroing loops
-    /// never materialize anything.
+    /// Writes one byte. Writing zero to an absent page is a no-op (the
+    /// page already reads as zero), so zeroing loops never materialize
+    /// anything.
     #[inline(always)]
     pub fn write8(&mut self, off: u32, value: u8) {
         debug_assert!(off < self.size);
-        if value == 0 && self.pages[(off as usize) >> PAGE_SHIFT].is_none() {
+        if value == 0 && self.absent(off as usize) {
             return;
         }
-        self.page_mut(off).0[off as usize & PAGE_MASK] = value;
+        *self.pages.get_mut(off as usize) = value;
     }
 
     /// Writes a little-endian 32-bit word (see [`PageStore::write8`] for
@@ -219,12 +141,14 @@ impl PageStore {
     #[inline(always)]
     pub fn write32(&mut self, off: u32, value: u32) {
         debug_assert!(off as u64 + 4 <= u64::from(self.size));
-        let lane = off as usize & PAGE_MASK;
+        let i = off as usize;
+        let lane = i & PAGE_MASK;
         if lane <= PAGE_MASK - 3 {
-            if value == 0 && self.pages[(off as usize) >> PAGE_SHIFT].is_none() {
+            if value == 0 && self.absent(i) {
                 return;
             }
-            self.page_mut(off).0[lane..lane + 4].copy_from_slice(&value.to_le_bytes());
+            self.pages.chunk_mut(i >> PAGE_SHIFT)[lane..lane + 4]
+                .copy_from_slice(&value.to_le_bytes());
         } else {
             for (k, b) in value.to_le_bytes().into_iter().enumerate() {
                 self.write8(off + k as u32, b);
@@ -233,23 +157,14 @@ impl PageStore {
     }
 
     /// Fills the whole store with `pattern`. Filling with zero drops
-    /// every page (in sparse mode); a nonzero fill shares one filled
-    /// prototype page across all slots — writes after the fill unshare
-    /// page by page, exactly like post-fork divergence.
+    /// every page; a nonzero fill shares one filled prototype page
+    /// across all slots — writes after the fill unshare page by page,
+    /// exactly like post-fork divergence.
     pub fn fill(&mut self, pattern: u8) {
-        if pattern == 0 && !self.dense {
-            for slot in &mut self.pages {
-                *slot = None;
-            }
-            return;
-        }
-        let proto = Arc::new(Page::filled(pattern));
-        for slot in &mut self.pages {
-            *slot = Some(if self.dense {
-                Arc::new(Page::filled(pattern))
-            } else {
-                Arc::clone(&proto)
-            });
+        if pattern == 0 {
+            self.pages.clear();
+        } else {
+            self.pages.fill(pattern);
         }
     }
 
@@ -268,11 +183,10 @@ impl PageStore {
         let mut src = bytes;
         while !src.is_empty() {
             let lane = cur & PAGE_MASK;
-            let span = (PAGE_SIZE as usize - lane).min(src.len());
+            let span = (PAGE_BYTES - lane).min(src.len());
             let (chunk, rest) = src.split_at(span);
-            let absent = self.pages[cur >> PAGE_SHIFT].is_none();
-            if !(absent && !self.dense && chunk.iter().all(|&b| b == 0)) {
-                self.page_mut(cur as u32).0[lane..lane + span].copy_from_slice(chunk);
+            if !(self.absent(cur) && chunk.iter().all(|&b| b == 0)) {
+                self.pages.chunk_mut(cur >> PAGE_SHIFT)[lane..lane + span].copy_from_slice(chunk);
             }
             cur += span;
             src = rest;
@@ -280,32 +194,13 @@ impl PageStore {
         true
     }
 
-    /// Copies the store for snapshot/fork: one `Arc` bump per resident
-    /// page in sparse mode, a full deep copy in dense mode.
-    pub fn snapshot(&self) -> PageStore {
-        if !self.dense {
-            return self.clone();
-        }
-        PageStore {
-            size: self.size,
-            pages: self
-                .pages
-                .iter()
-                .map(|p| p.as_ref().map(|a| Arc::new(Page(a.0))))
-                .collect(),
-            dense: true,
-        }
-    }
-
     /// Materializes the full contents (diagnostics; O(size)).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.size as usize];
-        for (i, page) in self.pages.iter().enumerate() {
-            if let Some(p) = page {
-                let base = i << PAGE_SHIFT;
-                let span = (self.size as usize - base).min(PAGE_SIZE as usize);
-                out[base..base + span].copy_from_slice(&p.0[..span]);
-            }
+        for (i, page, _) in self.pages.resident() {
+            let base = i << PAGE_SHIFT;
+            let span = (self.size as usize - base).min(PAGE_BYTES);
+            out[base..base + span].copy_from_slice(&page[..span]);
         }
         out
     }
@@ -351,7 +246,7 @@ mod tests {
         let mut a = PageStore::new(4 * PAGE_SIZE);
         a.write32(0, 7);
         a.write32(2 * PAGE_SIZE, 9);
-        let mut b = a.snapshot();
+        let mut b = a.clone();
         assert_eq!(b.shared_pages_with(&a), 2, "fork is Arc bumps");
         b.write32(0, 8);
         assert_eq!(b.shared_pages_with(&a), 1, "first write unshares");
@@ -400,20 +295,19 @@ mod tests {
 
     #[test]
     fn dense_mode_materializes_and_deep_copies() {
-        let mut s = PageStore::new_dense(2 * PAGE_SIZE);
+        let mut s = PageStore::new(2 * PAGE_SIZE);
+        s.write32(PAGE_SIZE, 3);
+        s.make_dense();
         assert_eq!(s.resident_pages(), 2);
+        assert_eq!(s.read32(PAGE_SIZE), 3, "contents unchanged");
         s.write32(0, 5);
-        let b = s.snapshot();
+        let b = s.clone();
         assert_eq!(b.shared_pages_with(&s), 0, "dense snapshot deep-copies");
         assert_eq!(b.read32(0), 5);
-        // Densify/sparsify round-trips contents.
-        let mut t = PageStore::new(2 * PAGE_SIZE);
-        t.write32(PAGE_SIZE, 3);
-        t.set_dense(true);
-        assert_eq!(t.resident_pages(), 2);
-        t.set_dense(false);
-        assert_eq!(t.resident_pages(), 1, "zero pages dropped again");
-        assert_eq!(t.read32(PAGE_SIZE), 3);
+        // Zero writes and zero fills keep every page resident.
+        s.fill(0);
+        assert_eq!(s.resident_pages(), 2);
+        assert_eq!(s.read32(PAGE_SIZE), 0);
     }
 
     #[test]

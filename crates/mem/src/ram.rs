@@ -28,21 +28,6 @@ impl Ram {
         }
     }
 
-    /// Creates a zeroed RAM with dense (fully materialized, deep-copy
-    /// snapshot) backing — the reference mode for differential runs.
-    pub fn new_dense(name: &'static str, size: u32) -> Self {
-        Ram {
-            name,
-            store: PageStore::new_dense(size),
-        }
-    }
-
-    /// Switches between sparse and dense backing without changing
-    /// contents.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.store.set_dense(dense);
-    }
-
     /// Direct host access to the contents (diagnostics, assertions).
     /// Materializes the full image; O(size).
     pub fn bytes(&self) -> Vec<u8> {
@@ -113,11 +98,12 @@ impl Device for Ram {
         self.store.resident_bytes()
     }
 
+    fn make_dense(&mut self) {
+        self.store.make_dense();
+    }
+
     fn snapshot(&self) -> Option<Box<dyn Device>> {
-        Some(Box::new(Ram {
-            name: self.name,
-            store: self.store.snapshot(),
-        }))
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -138,19 +124,6 @@ impl Rom {
         Rom {
             store: PageStore::new(size),
         }
-    }
-
-    /// Creates a zeroed ROM with dense (reference) backing.
-    pub fn new_dense(size: u32) -> Self {
-        Rom {
-            store: PageStore::new_dense(size),
-        }
-    }
-
-    /// Switches between sparse and dense backing without changing
-    /// contents.
-    pub fn set_dense(&mut self, dense: bool) {
-        self.store.set_dense(dense);
     }
 
     /// Direct host access to the contents. Materializes the full image;
@@ -208,10 +181,12 @@ impl Device for Rom {
         self.store.resident_bytes()
     }
 
+    fn make_dense(&mut self) {
+        self.store.make_dense();
+    }
+
     fn snapshot(&self) -> Option<Box<dyn Device>> {
-        Some(Box::new(Rom {
-            store: self.store.snapshot(),
-        }))
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -312,13 +287,13 @@ mod tests {
 
     #[test]
     fn dense_ram_reports_full_residency() {
-        let r = Ram::new_dense("sram", 64 * 1024);
+        let mut r = Ram::new("sram", 64 * 1024);
+        r.make_dense();
         assert_eq!(Device::resident_bytes(&r), 64 * 1024);
-        let mut s = Ram::new("sram", 64 * 1024);
-        s.set_dense(true);
-        assert_eq!(Device::resident_bytes(&s), 64 * 1024);
-        s.set_dense(false);
-        assert_eq!(Device::resident_bytes(&s), 0);
+        // The derived Clone is the snapshot, so it keeps the mode too.
+        assert_eq!(Device::resident_bytes(&r.clone()), 64 * 1024);
+        r.fill(0);
+        assert_eq!(Device::resident_bytes(&r), 64 * 1024);
     }
 
     #[test]
