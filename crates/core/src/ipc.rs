@@ -179,10 +179,11 @@ pub fn respond(syn: Syn, rng: &mut XorShift64) -> (Channel, Ack) {
 }
 
 /// Telemetry-traced wrappers around the handshake: the same protocol
-/// state machines, but every message emits an [`Event::IpcSend`] /
-/// [`Event::IpcRecv`] pair and the completed handshake records the
-/// `ipc.round_trip_cycles` histogram (cycle stamps come from the
-/// recorder, i.e. the machine time that elapsed between the steps).
+/// state machines, but every message emits an
+/// [`trustlite_obs::Event::IpcSend`] / [`trustlite_obs::Event::IpcRecv`]
+/// pair and the completed handshake records the `ipc.round_trip_cycles`
+/// histogram (cycle stamps come from the recorder, i.e. the machine time
+/// that elapsed between the steps).
 pub mod traced {
     use super::{Ack, Channel, Initiator, IpcError, Syn};
     use trustlite_crypto::XorShift64;

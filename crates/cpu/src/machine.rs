@@ -10,7 +10,7 @@ use crate::costs;
 use crate::fault::Fault;
 use crate::predecode::{DataMemo, MicroOp};
 use crate::regs::{Flags, RegFile};
-use crate::sysbus::SystemBus;
+use crate::sysbus::{fetch_grant_event, SystemBus};
 use crate::ttable::{self, TrustletRow};
 use crate::vectors;
 
@@ -427,7 +427,7 @@ impl Machine {
     /// Runs until halt or `max_steps` step events.
     ///
     /// When the superblock cache is enabled this dispatches whole cached
-    /// blocks per iteration ([`Machine::step_block`]); the step budget is
+    /// blocks per iteration (`Machine::step_block`); the step budget is
     /// still accounted per step event, so `run(n)` stops the machine in
     /// exactly the state `n` calls to [`Machine::step`] would.
     /// [`Machine::run_until`] deliberately stays on the per-instruction
@@ -572,19 +572,20 @@ impl Machine {
             // reduced to a counter (`fast_fetch`, or enforcement off).
             // If the whole run fits the remaining budget and stays
             // strictly inside the tick headroom, no per-op check could
-            // fire anywhere in it — execute it back-to-back and settle
-            // every counter once. Boundary cases (budget edge, tick
-            // edge, validation pass) fall through to the per-op path.
+            // fire anywhere in it — execute it back-to-back through
+            // `exec_pure` and settle every counter once with the
+            // `run_cost` the builder read off `exec_pure`. Boundary
+            // cases (budget edge, tick edge, validation pass) fall
+            // through to the per-op path.
             if CAP < CAP_METRICS && (TRUSTED || fast_fetch) && ops[i].run > 1 {
                 let n = ops[i].run as usize;
                 let rc = ops[i].run_cost as u64;
                 if consumed + n as u64 <= budget && tick_acc + rc < tick_slack {
                     for o in &ops[i..i + n] {
-                        Self::exec_pure_straight(&mut self.regs, o.instr);
+                        Self::exec_pure(&mut self.regs, pc, o.instr);
+                        pc = pc.wrapping_add(4);
                     }
                     i += n;
-                    pc = start.wrapping_add(4 * i as u32);
-                    self.regs.ip = pc;
                     prev_ip = pc.wrapping_sub(4);
                     cycles += rc;
                     instret += n as u64;
@@ -640,13 +641,9 @@ impl Machine {
                         if op.pure {
                             deferred_fetch_event = true;
                         } else {
-                            self.sys.obs.emit_fine(Event::MpuCheck {
-                                cycle: cycles,
-                                subject,
-                                addr: pc,
-                                kind: trustlite_obs::AccessClass::Execute,
-                                verdict: trustlite_obs::Verdict::Allow,
-                            });
+                            self.sys
+                                .obs
+                                .emit_fine(fetch_grant_event(cycles, subject, pc));
                         }
                     }
                 } else {
@@ -689,16 +686,9 @@ impl Machine {
                                 // replay: nothing was emitted in between,
                                 // so the pair lands as one ring batch in
                                 // the slow path's order.
-                                self.sys.obs.emit_fine_pair(
-                                    Event::MpuCheck {
-                                        cycle: cycles,
-                                        subject,
-                                        addr: pc,
-                                        kind: trustlite_obs::AccessClass::Execute,
-                                        verdict: trustlite_obs::Verdict::Allow,
-                                    },
-                                    event,
-                                );
+                                self.sys
+                                    .obs
+                                    .emit_fine_pair(fetch_grant_event(cycles, subject, pc), event);
                             } else {
                                 self.sys.obs.emit_fine(event);
                             }
@@ -794,13 +784,9 @@ impl Machine {
                         // Flush the deferred fetch event before the
                         // exception events so the stream order matches
                         // the slow path.
-                        self.sys.obs.emit_fine(Event::MpuCheck {
-                            cycle: cycles,
-                            subject,
-                            addr: pc,
-                            kind: trustlite_obs::AccessClass::Execute,
-                            verdict: trustlite_obs::Verdict::Allow,
-                        });
+                        self.sys
+                            .obs
+                            .emit_fine(fetch_grant_event(cycles, subject, pc));
                     }
                     let _ = self.sys.tick_quick(std::mem::take(&mut tick_acc));
                     self.cycles = cycles;
@@ -829,77 +815,14 @@ impl Machine {
         consumed
     }
 
-    /// Data-memo replay for a memoised block load: same counter effects
-    /// as the full check (see `EaMpu::check_cached_window`), falling
-    /// back to the cold path when the memo is absent, stale, or the
-    /// address left the memoised window.
-    #[inline(always)]
-    fn block_read32(
-        &mut self,
-        data: &mut DataMemo,
-        pc: u32,
-        addr: u32,
-        hot_epoch: u64,
-    ) -> Result<u32, Fault> {
-        if let Some((epoch, slot, lo, len)) = *data {
-            if hot_epoch != 0 && epoch == hot_epoch && addr.wrapping_sub(lo) < len {
-                self.sys.mpu.replay_hit(slot);
-                return self.sys.read32_routed(pc, addr);
-            }
-            if self
-                .sys
-                .mpu
-                .check_cached_window(pc, epoch, slot, lo, len, addr)
-            {
-                return self.sys.read32_routed(pc, addr);
-            }
-        }
-        let (v, memo) = self.sys.block_load32_cold(pc, addr)?;
-        if memo.is_some() {
-            *data = memo;
-        }
-        Ok(v)
-    }
-
-    /// Data-memo replay for a memoised block store; see
-    /// [`Machine::block_read32`].
-    #[inline(always)]
-    fn block_write32(
-        &mut self,
-        data: &mut DataMemo,
-        pc: u32,
-        addr: u32,
-        value: u32,
-        hot_epoch: u64,
-    ) -> Result<(), Fault> {
-        if let Some((epoch, slot, lo, len)) = *data {
-            if hot_epoch != 0 && epoch == hot_epoch && addr.wrapping_sub(lo) < len {
-                self.sys.mpu.replay_hit(slot);
-                return self.sys.write32_routed(pc, addr, value);
-            }
-            if self
-                .sys
-                .mpu
-                .check_cached_window(pc, epoch, slot, lo, len, addr)
-            {
-                return self.sys.write32_routed(pc, addr, value);
-            }
-        }
-        let memo = self.sys.block_store32_cold(pc, addr, value)?;
-        if memo.is_some() {
-            *data = memo;
-        }
-        Ok(())
-    }
-
-    /// Executes one superblock micro-op. Register-only instructions run
-    /// through [`Machine::exec_pure`] (shared with the per-step
-    /// interpreter); word-sized memory ops — `Lw`, `Sw`, `Push`, `Pop`,
-    /// `Pushf`, `Call`, `Callr`, `Ret` — replay the op's data-grant
-    /// memo when enforcement is on and the firehose is off (the
-    /// memoized path produces no `MpuCheck` events, so it is statically
-    /// absent from the `CAP_FULL` loop); everything else runs the
-    /// ordinary [`Machine::exec`] arm. The block builder excludes
+    /// Executes one superblock micro-op through the same instruction
+    /// definitions as [`Machine::step`]: register-only ops through
+    /// [`Machine::exec_pure`], everything else through
+    /// [`Machine::exec_word`]. Only access validation differs: with
+    /// enforcement on, word-sized accesses replay the op's data-grant
+    /// memo (`MEMO`). The enforcement-off and `CAP_FULL` loops run
+    /// [`Machine::exec`] itself, since a replay would skip the
+    /// `MpuCheck` event the firehose records. The block builder excludes
     /// `Halt`/`Swi`, so `Done` is the only reachable outcome.
     #[inline(always)]
     fn exec_op<const CAP: u8, const TRUSTED: bool>(
@@ -908,79 +831,20 @@ impl Machine {
         pc: u32,
         hot_epoch: u64,
     ) -> Result<u64, Fault> {
-        // `pure` (build-time) is exactly "exec_pure handles it": the
-        // builder rejects system terminators and flags every
-        // memory-touching op impure, so this single predictable branch
-        // picks the right decoder without a second discriminant match.
+        // `pure` (build-time `!is_memory()`) is exactly "exec_pure
+        // handles it": the builder rejects system terminators, so this
+        // single predictable branch picks the right decoder without a
+        // second discriminant match.
         if op.pure {
             return Ok(Self::exec_pure(&mut self.regs, pc, op.instr)
                 .expect("pure micro-ops are register-only"));
         }
-        if !TRUSTED && CAP < CAP_FULL {
-            let next = pc.wrapping_add(4);
-            match op.instr {
-                Instr::Lw { rd, rs1, disp } => {
-                    let addr = self.regs.get(rs1).wrapping_add(disp as i32 as u32);
-                    let v = self.block_read32(&mut op.data, pc, addr, hot_epoch)?;
-                    self.regs.set(rd, v);
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Sw { rs1, rs2, disp } => {
-                    let addr = self.regs.get(rs1).wrapping_add(disp as i32 as u32);
-                    let v = self.regs.get(rs2);
-                    self.block_write32(&mut op.data, pc, addr, v, hot_epoch)?;
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Push { rs } => {
-                    let v = self.regs.get(rs);
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, v, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Pop { rd } => {
-                    let v = self.block_read32(&mut op.data, pc, self.regs.sp, hot_epoch)?;
-                    self.regs.sp = self.regs.sp.wrapping_add(4);
-                    self.regs.set(rd, v);
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Pushf => {
-                    let v = self.regs.flags.to_word();
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, v, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = next;
-                    return Ok(costs::BASE + costs::MEM_EXTRA);
-                }
-                Instr::Call { off } => {
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, next, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = next.wrapping_add(off as i32 as u32);
-                    return Ok(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF);
-                }
-                Instr::Callr { rs1 } => {
-                    let target = self.regs.get(rs1);
-                    let new_sp = self.regs.sp.wrapping_sub(4);
-                    self.block_write32(&mut op.data, pc, new_sp, next, hot_epoch)?;
-                    self.regs.sp = new_sp;
-                    self.regs.ip = target;
-                    return Ok(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF);
-                }
-                Instr::Ret => {
-                    let target = self.block_read32(&mut op.data, pc, self.regs.sp, hot_epoch)?;
-                    self.regs.sp = self.regs.sp.wrapping_add(4);
-                    self.regs.ip = target;
-                    return Ok(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF);
-                }
-                _ => {}
-            }
-        }
-        match self.exec(pc, op.instr)? {
+        let done = if !TRUSTED && CAP < CAP_FULL {
+            self.exec_word::<true>(pc, op.instr, &mut op.data, hot_epoch)?
+        } else {
+            self.exec(pc, op.instr)?
+        };
+        match done {
             Exec::Done(cost) => Ok(cost),
             Exec::Halt | Exec::Swi(_) => {
                 unreachable!("system instructions are never block micro-ops")
@@ -1192,74 +1056,14 @@ impl Machine {
 
     /// Executes a register-only instruction — no bus, MPU, flag or
     /// telemetry traffic, no way to fault — returning its cost, or
-    /// `None` when the instruction needs a full [`Machine::exec`] arm.
-    /// Shared by the per-step interpreter and the superblock loop
-    /// Executes one op of a straight-pure run (see `MicroOp::run`):
-    /// register file only — the caller advances `ip` once for the whole
-    /// run and charges the precomputed `run_cost`, so nothing here can
-    /// fault, branch, or touch a counter.
+    /// `None` when the instruction needs [`Machine::exec_word`]. Shared
+    /// by the per-step interpreter, the superblock loop (where it
+    /// inlines, keeping the monomorphized hot path call-free for the
+    /// ALU/branch ops that dominate real instruction mixes), its
+    /// straight-pure runs, and the block builder, which reads their
+    /// batched cost off it (`predecode::straight_cost`).
     #[inline(always)]
-    fn exec_pure_straight(r: &mut RegFile, i: Instr) {
-        match i {
-            Instr::Nop => {}
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let v = op.apply(r.get(rs1), r.get(rs2));
-                r.set(rd, v);
-            }
-            Instr::Mov { rd, rs1 } => {
-                let v = r.get(rs1);
-                r.set(rd, v);
-            }
-            Instr::Not { rd, rs1 } => {
-                let v = !r.get(rs1);
-                r.set(rd, v);
-            }
-            Instr::Addi { rd, rs1, imm } => {
-                let v = r.get(rs1).wrapping_add(imm as i32 as u32);
-                r.set(rd, v);
-            }
-            Instr::Andi { rd, rs1, imm } => {
-                let v = r.get(rs1) & imm as u32;
-                r.set(rd, v);
-            }
-            Instr::Ori { rd, rs1, imm } => {
-                let v = r.get(rs1) | imm as u32;
-                r.set(rd, v);
-            }
-            Instr::Xori { rd, rs1, imm } => {
-                let v = r.get(rs1) ^ imm as u32;
-                r.set(rd, v);
-            }
-            Instr::Shli { rd, rs1, imm } => {
-                let v = r.get(rs1).wrapping_shl(imm as u32);
-                r.set(rd, v);
-            }
-            Instr::Shri { rd, rs1, imm } => {
-                let v = r.get(rs1).wrapping_shr(imm as u32);
-                r.set(rd, v);
-            }
-            Instr::Srai { rd, rs1, imm } => {
-                let v = ((r.get(rs1) as i32) >> imm) as u32;
-                r.set(rd, v);
-            }
-            Instr::Movi { rd, imm } => {
-                r.set(rd, imm as i32 as u32);
-            }
-            Instr::Lui { rd, imm } => {
-                r.set(rd, (imm as u32) << 16);
-            }
-            _ => unreachable!("straight-pure runs hold register-only ops"),
-        }
-    }
-
-    /// Executes a register-only instruction — no bus, MPU, flag or
-    /// telemetry traffic, no way to fault — returning its cost, or
-    /// `None` when the instruction needs a full [`Machine::exec`] arm.
-    /// Shared by the per-step interpreter and the superblock loop
-    /// (where it inlines, keeping the monomorphized hot path call-free
-    /// for the ALU/branch ops that dominate real instruction mixes).
-    #[inline(always)]
-    fn exec_pure(r: &mut RegFile, ip: u32, i: Instr) -> Option<u64> {
+    pub(crate) fn exec_pure(r: &mut RegFile, ip: u32, i: Instr) -> Option<u64> {
         let next = ip.wrapping_add(4);
         let cost = match i {
             Instr::Nop => {
@@ -1369,10 +1173,97 @@ impl Machine {
         Some(cost)
     }
 
+    /// Executes one instruction for [`Machine::step`]: every access is
+    /// validated by the full EA-MPU check.
     fn exec(&mut self, ip: u32, i: Instr) -> Result<Exec, Fault> {
-        if let Some(cost) = Self::exec_pure(&mut self.regs, ip, i) {
-            return Ok(Exec::Done(cost));
+        match Self::exec_pure(&mut self.regs, ip, i) {
+            Some(cost) => Ok(Exec::Done(cost)),
+            None => self.exec_word::<false>(ip, i, &mut None, 0),
         }
+    }
+
+    /// Executes the word-sized memory ops — `Lw`, `Sw`, `Push`, `Pop`,
+    /// `Pushf`, `Call`, `Callr`, `Ret` — for both engines, and hands every
+    /// other non-register op to [`Machine::exec_other`]. Each access goes
+    /// through [`SystemBus::access32`]; `MEMO`, `memo` and `hot_epoch`
+    /// select and feed its grant-memo replay (block loop only).
+    #[inline(always)]
+    fn exec_word<const MEMO: bool>(
+        &mut self,
+        ip: u32,
+        i: Instr,
+        memo: &mut DataMemo,
+        hot_epoch: u64,
+    ) -> Result<Exec, Fault> {
+        let mut access = |sys: &mut SystemBus, addr: u32, store: Option<u32>| {
+            sys.access32::<MEMO>(memo, hot_epoch, ip, addr, store)
+        };
+        let next = ip.wrapping_add(4);
+        let cost = match i {
+            Instr::Lw { rd, rs1, disp } => {
+                let addr = self.regs.get(rs1).wrapping_add(disp as i32 as u32);
+                let v = access(&mut self.sys, addr, None)?;
+                self.regs.set(rd, v);
+                self.regs.ip = next;
+                costs::BASE + costs::MEM_EXTRA
+            }
+            Instr::Sw { rs1, rs2, disp } => {
+                let addr = self.regs.get(rs1).wrapping_add(disp as i32 as u32);
+                access(&mut self.sys, addr, Some(self.regs.get(rs2)))?;
+                self.regs.ip = next;
+                costs::BASE + costs::MEM_EXTRA
+            }
+            Instr::Push { rs } => {
+                let new_sp = self.regs.sp.wrapping_sub(4);
+                access(&mut self.sys, new_sp, Some(self.regs.get(rs)))?;
+                self.regs.sp = new_sp;
+                self.regs.ip = next;
+                costs::BASE + costs::MEM_EXTRA
+            }
+            Instr::Pop { rd } => {
+                let v = access(&mut self.sys, self.regs.sp, None)?;
+                self.regs.sp = self.regs.sp.wrapping_add(4);
+                self.regs.set(rd, v);
+                self.regs.ip = next;
+                costs::BASE + costs::MEM_EXTRA
+            }
+            Instr::Pushf => {
+                let new_sp = self.regs.sp.wrapping_sub(4);
+                access(&mut self.sys, new_sp, Some(self.regs.flags.to_word()))?;
+                self.regs.sp = new_sp;
+                self.regs.ip = next;
+                costs::BASE + costs::MEM_EXTRA
+            }
+            Instr::Call { off } => {
+                let new_sp = self.regs.sp.wrapping_sub(4);
+                access(&mut self.sys, new_sp, Some(next))?;
+                self.regs.sp = new_sp;
+                self.regs.ip = next.wrapping_add(off as i32 as u32);
+                costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF
+            }
+            Instr::Callr { rs1 } => {
+                let target = self.regs.get(rs1);
+                let new_sp = self.regs.sp.wrapping_sub(4);
+                access(&mut self.sys, new_sp, Some(next))?;
+                self.regs.sp = new_sp;
+                self.regs.ip = target;
+                costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF
+            }
+            Instr::Ret => {
+                let target = access(&mut self.sys, self.regs.sp, None)?;
+                self.regs.sp = self.regs.sp.wrapping_add(4);
+                self.regs.ip = target;
+                costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF
+            }
+            _ => return self.exec_other(ip, i),
+        };
+        Ok(Exec::Done(cost))
+    }
+
+    /// Executes the instructions [`Machine::exec_pure`] and
+    /// [`Machine::exec_word`] leave: system and flag instructions,
+    /// sub-word memory ops and extension ops.
+    fn exec_other(&mut self, ip: u32, i: Instr) -> Result<Exec, Fault> {
         let next = ip.wrapping_add(4);
         let r = &mut self.regs;
         match i {
@@ -1414,20 +1305,6 @@ impl Machine {
                     });
                 }
                 Ok(Exec::Done(costs::IRET_TOTAL))
-            }
-            Instr::Lw { rd, rs1, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = self.sys.load32(ip, addr)?;
-                self.regs.set(rd, v);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Sw { rs1, rs2, disp } => {
-                let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
-                let v = r.get(rs2);
-                self.sys.store32(ip, addr, v)?;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
             }
             Instr::Lb { rd, rs1, disp } => {
                 let addr = r.get(rs1).wrapping_add(disp as i32 as u32);
@@ -1471,56 +1348,12 @@ impl Machine {
                 self.regs.ip = next;
                 Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
             }
-            Instr::Push { rs } => {
-                let v = r.get(rs);
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, v)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Pop { rd } => {
-                let v = self.sys.load32(ip, r.sp)?;
-                self.regs.sp = self.regs.sp.wrapping_add(4);
-                self.regs.set(rd, v);
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Pushf => {
-                let v = r.flags.to_word();
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, v)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = next;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
             Instr::Popf => {
                 let v = self.sys.load32(ip, r.sp)?;
                 self.regs.sp = self.regs.sp.wrapping_add(4);
                 self.regs.flags = Flags::from_word(v);
                 self.regs.ip = next;
                 Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA))
-            }
-            Instr::Call { off } => {
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, next)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = next.wrapping_add(off as i32 as u32);
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF))
-            }
-            Instr::Callr { rs1 } => {
-                let target = r.get(rs1);
-                let new_sp = r.sp.wrapping_sub(4);
-                self.sys.store32(ip, new_sp, next)?;
-                self.regs.sp = new_sp;
-                self.regs.ip = target;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF))
-            }
-            Instr::Ret => {
-                let target = self.sys.load32(ip, r.sp)?;
-                self.regs.sp = self.regs.sp.wrapping_add(4);
-                self.regs.ip = target;
-                Ok(Exec::Done(costs::BASE + costs::MEM_EXTRA + costs::TAKEN_CF))
             }
             Instr::Ext { op, rd, rs1, imm } => {
                 let mut ext = match self.ext.take() {
@@ -1539,22 +1372,7 @@ impl Machine {
                 self.regs.ip = next;
                 Ok(Exec::Done(costs::BASE + cost))
             }
-            Instr::Nop
-            | Instr::Alu { .. }
-            | Instr::Mov { .. }
-            | Instr::Not { .. }
-            | Instr::Addi { .. }
-            | Instr::Andi { .. }
-            | Instr::Ori { .. }
-            | Instr::Xori { .. }
-            | Instr::Shli { .. }
-            | Instr::Shri { .. }
-            | Instr::Srai { .. }
-            | Instr::Movi { .. }
-            | Instr::Lui { .. }
-            | Instr::Jmp { .. }
-            | Instr::Jr { .. }
-            | Instr::Branch { .. } => unreachable!("register-only ops are handled by exec_pure"),
+            _ => unreachable!("register-only and word-sized memory ops never get here"),
         }
     }
 }

@@ -42,7 +42,8 @@
 //! and the fleet's reference-vs-default tests). Footprint is amortized
 //! over the tables sharing a chunk.
 
-use crate::costs;
+use crate::machine::Machine;
+use crate::regs::RegFile;
 use trustlite_isa::Instr;
 use trustlite_mem::ChunkTable;
 use trustlite_obs::Histogram;
@@ -256,29 +257,15 @@ pub struct MicroOp {
 
 /// Static cycle cost of a register-only, non-control-flow op — the ops
 /// eligible for straight-pure runs — or `None` for anything that can
-/// branch, fault, or reach memory.
+/// branch, fault, or reach memory. Read off `Machine::exec_pure` on a
+/// throwaway register file (no such op's cost depends on operand values),
+/// so a run's batched `run_cost` is by construction what per-op
+/// execution charges.
 pub(crate) fn straight_cost(i: &Instr) -> Option<u64> {
-    use trustlite_isa::instr::AluOp;
-    match i {
-        Instr::Alu { op, .. } => Some(match op {
-            AluOp::Mul => costs::BASE + costs::MUL_EXTRA,
-            AluOp::Divu | AluOp::Remu => costs::BASE + costs::DIV_EXTRA,
-            _ => costs::BASE,
-        }),
-        Instr::Nop
-        | Instr::Mov { .. }
-        | Instr::Not { .. }
-        | Instr::Addi { .. }
-        | Instr::Andi { .. }
-        | Instr::Ori { .. }
-        | Instr::Xori { .. }
-        | Instr::Shli { .. }
-        | Instr::Shri { .. }
-        | Instr::Srai { .. }
-        | Instr::Movi { .. }
-        | Instr::Lui { .. } => Some(costs::BASE),
-        _ => None,
+    if i.is_control_flow() {
+        return None;
     }
+    Machine::exec_pure(&mut RegFile::default(), 0, *i)
 }
 
 #[derive(Clone)]

@@ -23,11 +23,24 @@ use crate::predecode::{
 };
 
 /// Maps the MPU's access kind onto the telemetry wire type.
-pub(crate) fn access_class(kind: AccessKind) -> AccessClass {
+fn access_class(kind: AccessKind) -> AccessClass {
     match kind {
         AccessKind::Read => AccessClass::Read,
         AccessKind::Write => AccessClass::Write,
         AccessKind::Execute => AccessClass::Execute,
+    }
+}
+
+/// The firehose record of an Execute grant that a fetch-memo replay
+/// vouched for instead of the full check: by construction an Allow, so
+/// the replay reproduces verbatim the event the full check would emit.
+pub(crate) fn fetch_grant_event(cycle: u64, subject: u32, addr: u32) -> Event {
+    Event::MpuCheck {
+        cycle,
+        subject,
+        addr,
+        kind: AccessClass::Execute,
+        verdict: Verdict::Allow,
     }
 }
 
@@ -37,29 +50,6 @@ pub(crate) fn access_class(kind: AccessKind) -> AccessClass {
 /// flow; `Di`/`Ei`/`Popf` rewrite FLAGS.IE, which the block loop latches
 /// once at entry for its interrupt-window checks; `Ext` dispatches into
 /// platform extension units.
-/// True for block-eligible instructions that generate data-memory
-/// traffic (and thus, at the firehose level, `MpuCheck` events between
-/// the fetch check and retirement).
-fn instr_touches_memory(instr: &Instr) -> bool {
-    matches!(
-        instr,
-        Instr::Lw { .. }
-            | Instr::Sw { .. }
-            | Instr::Lb { .. }
-            | Instr::Lbs { .. }
-            | Instr::Lh { .. }
-            | Instr::Lhs { .. }
-            | Instr::Sh { .. }
-            | Instr::Sb { .. }
-            | Instr::Push { .. }
-            | Instr::Pop { .. }
-            | Instr::Pushf
-            | Instr::Call { .. }
-            | Instr::Callr { .. }
-            | Instr::Ret
-    )
-}
-
 fn block_terminates_before(instr: &Instr) -> bool {
     matches!(
         instr,
@@ -124,12 +114,6 @@ impl SystemBus {
         self.mpu.set_grant_cache(on);
         self.bus.set_batched_ticks(on);
         self.bus.set_lookup_cache(on);
-    }
-
-    /// Whether the predecode cache is enabled (all fast-path caches are
-    /// toggled together by [`SystemBus::set_fast_path`]).
-    pub fn fast_path(&self) -> bool {
-        self.predecode.enabled()
     }
 
     /// Toggles the superblock trace cache alone, leaving the
@@ -284,13 +268,7 @@ impl SystemBus {
                 if replayed {
                     if self.obs.firehose_on() {
                         let cycle = self.obs.now();
-                        self.obs.emit_fine(Event::MpuCheck {
-                            cycle,
-                            subject: subject_ip,
-                            addr: ip,
-                            kind: AccessClass::Execute,
-                            verdict: Verdict::Allow,
-                        });
+                        self.obs.emit_fine(fetch_grant_event(cycle, subject_ip, ip));
                     }
                 } else {
                     self.check(subject_ip, ip, AccessKind::Execute)?;
@@ -362,7 +340,7 @@ impl SystemBus {
             ops.push(MicroOp {
                 word,
                 instr,
-                pure: !instr_touches_memory(&instr),
+                pure: !instr.is_memory(),
                 run: 0,
                 run_cost: 0,
                 fetch: None,
@@ -431,76 +409,71 @@ impl SystemBus {
         Ok(self.mpu.exec_memo(ip))
     }
 
-    /// The cold half of a memoised block load: full check via
-    /// [`SystemBus::load32`], then a fresh data memo with the grant
-    /// window that just vouched for `addr`. Only used below the
-    /// firehose level — the full check's `MpuCheck` event has no replay
-    /// equivalent.
-    pub(crate) fn block_load32_cold(
-        &mut self,
-        ip: u32,
-        addr: u32,
-    ) -> Result<(u32, DataMemo), Fault> {
-        let v = self.load32(ip, addr)?;
-        Ok((v, self.mpu.grant_window(addr, AccessKind::Read)))
-    }
-
-    /// The cold half of a memoised block store; see
-    /// [`SystemBus::block_load32_cold`].
-    pub(crate) fn block_store32_cold(
-        &mut self,
-        ip: u32,
-        addr: u32,
-        value: u32,
-    ) -> Result<DataMemo, Fault> {
-        self.store32(ip, addr, value)?;
-        Ok(self.mpu.grant_window(addr, AccessKind::Write))
-    }
-
     /// Loads a 32-bit word on behalf of the instruction at `ip`.
     #[inline(always)]
     pub fn load32(&mut self, ip: u32, addr: u32) -> Result<u32, Fault> {
-        self.check(ip, addr, AccessKind::Read)?;
-        self.read32_routed(ip, addr)
-    }
-
-    /// The routing half of [`SystemBus::load32`]: MPU-window redirect or
-    /// physical bus read. Callers must have performed (or memo-replayed)
-    /// the MPU check.
-    #[inline(always)]
-    pub(crate) fn read32_routed(&mut self, ip: u32, addr: u32) -> Result<u32, Fault> {
-        if let Some(off) = self.mpu_window_off(addr) {
-            return self.mpu.mmio_read(off).map_err(|_| Fault::Bus {
-                ip,
-                err: BusError::Unmapped { addr },
-            });
-        }
-        self.bus.read32(addr).map_err(|err| Fault::Bus { ip, err })
+        self.access32::<false>(&mut None, 0, ip, addr, None)
     }
 
     /// Stores a 32-bit word on behalf of the instruction at `ip`.
     #[inline(always)]
     pub fn store32(&mut self, ip: u32, addr: u32, value: u32) -> Result<(), Fault> {
-        self.check(ip, addr, AccessKind::Write)?;
-        self.write32_routed(ip, addr, value)
+        self.access32::<false>(&mut None, 0, ip, addr, Some(value))
+            .map(drop)
     }
 
-    /// The routing half of [`SystemBus::store32`]: invalidates predecode
-    /// and superblock entries covering the word, then routes the write.
-    /// Callers must have performed (or memo-replayed) the MPU check.
+    /// The one word access on behalf of the instruction at `ip`: a load,
+    /// or a store when `store` is `Some(value)` (then returning 0).
+    /// Without `MEMO` the EA-MPU runs the full check. With `MEMO`, which
+    /// only the block loop passes below the firehose level (a replay
+    /// emits no `MpuCheck` event), the micro-op's data-grant `memo` is
+    /// replayed instead when it still holds, with the full check's
+    /// counter effects: one compare plus a batched counter bump under
+    /// the block's prevalidated `hot_epoch` (`EaMpu::block_epoch`),
+    /// else `EaMpu::check_cached_window`. When it does not hold, the
+    /// order is: full check, the access, then a fresh memo learned from
+    /// the grant window that vouched for `addr` (the access may have
+    /// reprogrammed the MPU).
     #[inline(always)]
-    pub(crate) fn write32_routed(&mut self, ip: u32, addr: u32, value: u32) -> Result<(), Fault> {
-        self.predecode.invalidate(addr);
-        self.blocks.invalidate(addr);
-        if let Some(off) = self.mpu_window_off(addr) {
-            return self.mpu.mmio_write(off, value).map_err(|_| Fault::Bus {
-                ip,
-                err: BusError::Unmapped { addr },
-            });
+    pub(crate) fn access32<const MEMO: bool>(
+        &mut self,
+        memo: &mut DataMemo,
+        hot_epoch: u64,
+        ip: u32,
+        addr: u32,
+        store: Option<u32>,
+    ) -> Result<u32, Fault> {
+        let kind = match store {
+            Some(_) => AccessKind::Write,
+            None => AccessKind::Read,
+        };
+        let replayed = MEMO
+            && match *memo {
+                Some((epoch, slot, lo, len))
+                    if hot_epoch != 0 && epoch == hot_epoch && addr.wrapping_sub(lo) < len =>
+                {
+                    self.mpu.replay_hit(slot);
+                    true
+                }
+                Some((epoch, slot, lo, len)) => {
+                    self.mpu.check_cached_window(ip, epoch, slot, lo, len, addr)
+                }
+                None => false,
+            };
+        if !replayed {
+            self.check(ip, addr, kind)?;
         }
-        self.bus
-            .write32(addr, value)
-            .map_err(|err| Fault::Bus { ip, err })
+        let value = match store {
+            Some(value) => self.hw_write32(addr, value).map(|()| 0),
+            None => self.hw_read32(addr),
+        }
+        .map_err(|err| Fault::Bus { ip, err })?;
+        if MEMO && !replayed {
+            if let Some(fresh) = self.mpu.grant_window(addr, kind) {
+                *memo = Some(fresh);
+            }
+        }
+        Ok(value)
     }
 
     /// Loads an aligned halfword on behalf of the instruction at `ip`.
@@ -557,7 +530,8 @@ impl SystemBus {
     }
 
     /// Hardware-internal word read (exception engine paths): bypasses the
-    /// MPU but not the bus.
+    /// MPU but not the bus. CPU loads route through here once validated
+    /// (see [`SystemBus::load32`]).
     pub fn hw_read32(&mut self, addr: u32) -> Result<u32, BusError> {
         if let Some(off) = self.mpu_window_off(addr) {
             return self
@@ -569,8 +543,9 @@ impl SystemBus {
     }
 
     /// Hardware-internal word write: bypasses the MPU but not the bus.
-    /// Loader copy loops run through here, so predecoded instructions for
-    /// the written word are dropped.
+    /// Loader copy loops, and CPU stores once validated (see
+    /// [`SystemBus::store32`]), run through here, so predecoded
+    /// instructions and blocks covering the written word are dropped.
     pub fn hw_write32(&mut self, addr: u32, value: u32) -> Result<(), BusError> {
         self.predecode.invalidate(addr);
         self.blocks.invalidate(addr);
@@ -603,11 +578,6 @@ impl SystemBus {
             predecode: self.predecode.clone(),
             blocks: self.blocks.clone(),
         })
-    }
-
-    /// Advances peripherals and collects raised interrupts.
-    pub fn tick(&mut self, cycles: u64) -> Vec<IrqRequest> {
-        self.bus.tick(cycles)
     }
 
     /// Accounts `cycles`; true when no interrupt work is pending (the

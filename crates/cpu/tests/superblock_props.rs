@@ -1,11 +1,13 @@
 //! Differential property test for the superblock trace engine: random
-//! instruction soups — ALU ops, loads, stores, stack traffic, forward
-//! skips and backward loops — run to the same step budget on the
-//! interpreted path and the superblock path, at every capture level,
-//! with MPU enforcement both off and on. The two paths must agree on
-//! registers, cycle/instret counters, a memory digest, the recorded
-//! event count and the per-domain cycle attribution: the block engine
-//! has to be observably pure even on adversarial code shapes.
+//! instruction soups — ALU ops, loads, stores, stack traffic, calls and
+//! returns, forward skips and backward loops — run to the same step
+//! budget on the interpreted path and the superblock path, at every
+//! capture level, with MPU enforcement both off and on. The two paths
+//! must agree on registers, cycle/instret counters, a memory digest, the
+//! recorded event count, the per-domain cycle attribution, the EA-MPU
+//! check/denial counters (totals and per slot) and the exception log:
+//! the block engine has to be observably pure even on adversarial code
+//! shapes, down to how its grant memos count the checks they replay.
 
 use proptest::prelude::*;
 use trustlite_cpu::{Machine, SystemBus};
@@ -31,6 +33,11 @@ enum Op {
     Sw(Reg, u16),
     Push(Reg),
     Pop(Reg),
+    Pushf,
+    /// Forward call over `n` following instructions.
+    Call(u8),
+    /// Returns through whatever word sits on top of the stack.
+    Ret,
     /// Forward skip over `n` following instructions.
     SkipIf(Cond, Reg, Reg, u8),
     /// Backward branch `n` instructions — a loop seed, bounded by the
@@ -67,6 +74,9 @@ fn any_op() -> impl Strategy<Value = Op> {
         (src(), 0u16..0x100).prop_map(|(rs, w)| Op::Sw(rs, w * 4)),
         src().prop_map(Op::Push),
         dst().prop_map(Op::Pop),
+        Just(Op::Pushf),
+        (1u8..4).prop_map(Op::Call),
+        Just(Op::Ret),
         (cond(), src(), src(), 1u8..4).prop_map(|(c, a, b, n)| Op::SkipIf(c, a, b, n)),
         (cond(), src(), src(), 1u8..12).prop_map(|(c, a, b, n)| Op::LoopIf(c, a, b, n)),
     ]
@@ -99,6 +109,12 @@ fn encode_soup(ops: &[Op]) -> Vec<u8> {
             },
             Op::Push(rs) => Instr::Push { rs },
             Op::Pop(rd) => Instr::Pop { rd },
+            Op::Pushf => Instr::Pushf,
+            Op::Call(n) => {
+                let n = (n as usize).min(ops.len() - i) as i16;
+                Instr::Call { off: 4 * n }
+            }
+            Op::Ret => Instr::Ret,
             Op::SkipIf(c, rs1, rs2, n) => {
                 let n = (n as usize).min(ops.len() - i) as i16;
                 Instr::Branch {
@@ -137,6 +153,11 @@ struct Observed {
     mem: Vec<u8>,
     events: u64,
     attribution: Vec<(String, u64)>,
+    mpu_checks: u64,
+    mpu_denials: u64,
+    slot_hits: Vec<u64>,
+    slot_denials: Vec<u64>,
+    exceptions: usize,
 }
 
 fn run_soup(
@@ -201,6 +222,11 @@ fn run_soup(
         mem,
         events: m.sys.obs.ring.len() as u64 + m.sys.obs.ring.dropped(),
         attribution: m.sys.obs.attr.report(),
+        mpu_checks: m.sys.mpu.check_count(),
+        mpu_denials: m.sys.mpu.deny_count(),
+        slot_hits: m.sys.mpu.slot_hits().to_vec(),
+        slot_denials: m.sys.mpu.slot_denials().to_vec(),
+        exceptions: m.exc_log.len(),
     }
 }
 
@@ -229,6 +255,20 @@ proptest! {
             prop_assert_eq!(
                 block.attribution, slow.attribution,
                 "{:?}/{}: cycle attribution", level, enforce
+            );
+            prop_assert_eq!(
+                (block.mpu_checks, block.mpu_denials),
+                (slow.mpu_checks, slow.mpu_denials),
+                "{:?}/{}: MPU check/denial counters", level, enforce
+            );
+            prop_assert_eq!(block.slot_hits, slow.slot_hits, "{:?}/{}: slot grants", level, enforce);
+            prop_assert_eq!(
+                block.slot_denials, slow.slot_denials,
+                "{:?}/{}: slot denials", level, enforce
+            );
+            prop_assert_eq!(
+                block.exceptions, slow.exceptions,
+                "{:?}/{}: exception log", level, enforce
             );
         }
     }

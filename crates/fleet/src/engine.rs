@@ -60,9 +60,6 @@ pub struct FleetConfig {
     /// [`FleetReport::spans`]; digests and merged metrics are
     /// byte-identical at every level.
     pub trace: TraceLevel,
-    /// Per-device flight-recorder depth (always on; `0` disables
-    /// retention but still counts drops).
-    pub flight_cap: usize,
     /// Boot the master in the dense reference mode
     /// (`SystemBus::make_dense`), so every fork deep-copies its memory
     /// and code caches instead of sharing copy-on-write chunks. Set only
@@ -90,7 +87,6 @@ impl Default for FleetConfig {
             max_retries: 3,
             timeout_rounds: 2,
             trace: TraceLevel::Off,
-            flight_cap: DEFAULT_FLIGHT_CAP,
             dense: false,
             campaign: None,
         }
@@ -340,7 +336,7 @@ impl Fleet {
                 role,
                 health: DeviceHealth::Healthy,
                 shard: 0,
-                flight: FlightRecorder::new(cfg.flight_cap),
+                flight: FlightRecorder::new(DEFAULT_FLIGHT_CAP),
                 spans: Vec::new(),
                 dumps: Vec::new(),
                 outbox: Vec::new(),

@@ -385,7 +385,7 @@ impl Bus {
     /// [`Bus::tick_slow`] to collect interrupts.
     ///
     /// A nonzero `armed` implies no stashed stray interrupts: strays are
-    /// pushed only by [`Bus::catch_up`], which zeroes `armed`, and
+    /// pushed only by `Bus::catch_up`, which zeroes `armed`, and
     /// [`Bus::tick_slow`] drains them before re-arming.
     #[inline]
     pub fn tick_quick(&mut self, cycles: u64) -> bool {
